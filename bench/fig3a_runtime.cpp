@@ -50,25 +50,6 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr, "wall: N=%u threads=%u sap=%.3fs seda=%.3fs\n", n,
                  args.threads, sap_wall, seda_wall);
-    if (args.threads > 1) {
-      // Speedup vs the classic engine on the same swarm.
-      sap::SapConfig serial_sap = sap_cfg;
-      serial_sap.sim = sim::SimConfig{};
-      seda::SedaConfig serial_seda = seda_cfg;
-      serial_seda.sim = sim::SimConfig{};
-      const benchargs::WallTimer serial_wall;
-      auto sap_serial = sap::SapSimulation::balanced(serial_sap, n);
-      (void)sap_serial.run_round();
-      const double sap_serial_sec = serial_wall.sec();
-      auto seda_serial = seda::SedaSimulation::balanced(serial_seda, n);
-      (void)seda_serial.run_round();
-      const double seda_serial_sec = serial_wall.sec() - sap_serial_sec;
-      std::fprintf(stderr,
-                   "wall: N=%u threads=1 sap=%.3fs seda=%.3fs "
-                   "(speedup sap=%.2fx seda=%.2fx)\n",
-                   n, sap_serial_sec, seda_serial_sec,
-                   sap_serial_sec / sap_wall, seda_serial_sec / seda_wall);
-    }
     const double sap_sec = sap_round.total().sec();
     const double seda_sec = seda_round.total_time().sec();
     table.add_row({Table::count(n),

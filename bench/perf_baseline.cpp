@@ -31,7 +31,6 @@
 #include "crypto/tally.hpp"
 #include "sap/swarm.hpp"
 #include "sim/parallel.hpp"
-#include "sim/process_group.hpp"
 
 namespace {
 
@@ -197,65 +196,38 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "wall: sap n=%u rounds=2 %.3fs (%.0f events/s)\n",
                devices, rounds_sec, dispatched / rounds_sec);
 
-  // ---- Workload 3: PDES scaling across shard placements ----
+  // ---- Workload 3: PDES scaling across worker threads ----
   // The same two-round SAP workload on the sharded engine (shards=8),
-  // once per placement: inproc lanes at 1/2/8 worker threads and the
-  // shared-memory ring transport split across 2 processes. The pdes.*
-  // counters (events dispatched, cross-shard posts, conservative
-  // epochs, lane reallocations) are recorded from the threads=1 run and
-  // asserted equal at every other placement — the engine's "run is a
-  // pure function of (inputs, shard count)" bar, enforced right here so
-  // the committed BENCH_perf.json doubles as the invariance golden.
-  // Only the wall.pdes_*_events_per_sec gauges may differ by placement.
-  struct Placement {
-    const char* name;
-    std::uint32_t threads;
-    sim::ShardTransport transport;
-    std::uint32_t procs;
-  };
-  const Placement placements[] = {
-      {"t1", 1, sim::ShardTransport::kInproc, 1},
-      {"t2", 2, sim::ShardTransport::kInproc, 1},
-      {"t8", 8, sim::ShardTransport::kInproc, 1},
-      {"shm2p", 2, sim::ShardTransport::kShm, 2},
-  };
+  // once per worker-thread count. The pdes.* counters (events
+  // dispatched, cross-shard posts, conservative epochs, lane
+  // reallocations) are recorded from the threads=1 run and asserted
+  // equal at every other thread count — the engine's "run is a pure
+  // function of (inputs, shard count)" bar, enforced right here so the
+  // committed BENCH_perf.json doubles as the invariance golden. Only the
+  // wall.pdes_*_events_per_sec gauges may differ by thread count.
   std::uint64_t pdes_events = 0, pdes_cross = 0, pdes_epochs = 0;
   std::uint64_t pdes_lane_reallocs = 0;
-  for (const Placement& p : placements) {
+  for (const std::uint32_t threads : {1u, 2u, 8u}) {
+    const std::string name = "t" + std::to_string(threads);
     sap::SapConfig pcfg;
-    pcfg.sim.threads = p.threads;
+    pcfg.sim.threads = threads;
     pcfg.sim.shards = 8;
-    pcfg.sim.transport = p.transport;  // explicit: immune to the env var
-    pcfg.sim.processes = p.procs;
     auto psim = sap::SapSimulation::balanced(pcfg, devices);
-    sim::ProcessGroup& pg = sim::ProcessGroup::instance();
-    std::uint32_t rank = 0;
-    if (p.procs > 1) rank = pg.spawn(p.procs);
     const benchargs::WallTimer pdes_wall;
-    bool ok = true;
-    try {
-      ok = psim.run_round().verified;
-      psim.advance_time(sim::Duration::from_ms(250));
-      ok = psim.run_round().verified && ok;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "pdes[%s] rank %u: %s\n", p.name, rank, e.what());
-      if (rank != 0) pg.child_exit(1);
-      return 1;
-    }
+    bool ok = psim.run_round().verified;
+    psim.advance_time(sim::Duration::from_ms(250));
+    ok = psim.run_round().verified && ok;
     const double pdes_sec = pdes_wall.sec();
-    // Children exit 0 regardless of `ok`: the verifier verdict is only
-    // authoritative on rank 0, which owns shard 0.
-    if (rank != 0) pg.child_exit(0);
-    if (p.procs > 1) pg.join();
     if (!ok) {
-      std::fprintf(stderr, "pdes[%s]: SAP round failed to verify!\n", p.name);
+      std::fprintf(stderr, "pdes[%s]: SAP round failed to verify!\n",
+                   name.c_str());
       return 1;
     }
     const sim::ParallelScheduler* eng = psim.engine();
     const std::uint64_t ev = eng->dispatched();
     const std::uint64_t cross = eng->cross_shard_posts();
     const std::uint64_t epochs = eng->epochs();
-    if (p.name == placements[0].name) {
+    if (threads == 1) {
       pdes_events = ev;
       pdes_cross = cross;
       pdes_epochs = epochs;
@@ -264,9 +236,9 @@ int main(int argc, char** argv) {
     } else if (ev != pdes_events || cross != pdes_cross ||
                epochs != pdes_epochs) {
       std::fprintf(stderr,
-                   "pdes[%s]: placement changed the work! events %llu vs "
-                   "%llu, cross %llu vs %llu, epochs %llu vs %llu\n",
-                   p.name, static_cast<unsigned long long>(ev),
+                   "pdes[%s]: thread count changed the work! events %llu "
+                   "vs %llu, cross %llu vs %llu, epochs %llu vs %llu\n",
+                   name.c_str(), static_cast<unsigned long long>(ev),
                    static_cast<unsigned long long>(pdes_events),
                    static_cast<unsigned long long>(cross),
                    static_cast<unsigned long long>(pdes_cross),
@@ -274,10 +246,10 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(pdes_epochs));
       return 1;
     }
-    reg.gauge(std::string("wall.pdes_") + p.name + "_events_per_sec")
+    reg.gauge("wall.pdes_" + name + "_events_per_sec")
         .set(per_sec(ev, pdes_sec));
     std::fprintf(stderr, "wall: pdes[%s] n=%u rounds=2 %.3fs (%.0f events/s)\n",
-                 p.name, devices, pdes_sec,
+                 name.c_str(), devices, pdes_sec,
                  static_cast<double>(ev) / pdes_sec);
   }
 

@@ -1,7 +1,6 @@
 #include "obs/metrics.hpp"
 
 #include <bit>
-#include <stdexcept>
 
 namespace cra::obs {
 
@@ -20,17 +19,6 @@ void Histogram::merge_from(const Histogram& other) noexcept {
   if (other.max_ > max_) max_ = other.max_;
   count_ += other.count_;
   sum_ += other.sum_;
-}
-
-void Histogram::merge_raw(const std::array<std::uint64_t, kBuckets>& buckets,
-                          std::uint64_t count, std::uint64_t sum,
-                          std::uint64_t min, std::uint64_t max) noexcept {
-  if (count == 0) return;
-  for (std::size_t i = 0; i < kBuckets; ++i) buckets_[i] += buckets[i];
-  if (count_ == 0 || min < min_) min_ = min;
-  if (max > max_) max_ = max;
-  count_ += count;
-  sum_ += sum;
 }
 
 void Histogram::reset() noexcept {
@@ -100,96 +88,6 @@ void MetricsRegistry::reset_values() noexcept {
   for (auto& [n, c] : counters_) c.reset();
   for (auto& [n, g] : gauges_) g.reset();
   for (auto& [n, h] : histograms_) h.reset();
-}
-
-namespace {
-
-void put_name(Bytes& out, const std::string& name) {
-  append_u32le(out, static_cast<std::uint32_t>(name.size()));
-  out.insert(out.end(), name.begin(), name.end());
-}
-
-std::string take_name(BytesView in, std::size_t& off) {
-  const std::uint32_t len = read_u32le(in, off);
-  off += 4;
-  if (off + len > in.size()) {
-    throw std::runtime_error("MetricsRegistry: truncated binary image");
-  }
-  std::string name(reinterpret_cast<const char*>(in.data() + off), len);
-  off += len;
-  return name;
-}
-
-std::uint64_t take_u64(BytesView in, std::size_t& off) {
-  const std::uint64_t v = read_u64le(in, off);
-  off += 8;
-  return v;
-}
-
-}  // namespace
-
-void MetricsRegistry::encode_binary(Bytes& out) const {
-  append_u32le(out, static_cast<std::uint32_t>(counters_.size()));
-  for (const auto& [n, c] : counters_) {
-    put_name(out, n);
-    append_u64le(out, c.value());
-  }
-  append_u32le(out, static_cast<std::uint32_t>(gauges_.size()));
-  for (const auto& [n, g] : gauges_) {
-    put_name(out, n);
-    out.push_back(g.is_set() ? 1 : 0);
-    append_u64le(out, static_cast<std::uint64_t>(g.value()));
-  }
-  append_u32le(out, static_cast<std::uint32_t>(histograms_.size()));
-  for (const auto& [n, h] : histograms_) {
-    put_name(out, n);
-    append_u64le(out, h.count());
-    append_u64le(out, h.sum());
-    append_u64le(out, h.min());
-    append_u64le(out, h.max());
-    for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
-      append_u64le(out, h.buckets()[i]);
-    }
-  }
-}
-
-void MetricsRegistry::merge_binary(BytesView in) {
-  try {
-    std::size_t off = 0;
-    const std::uint32_t n_counters = read_u32le(in, off);
-    off += 4;
-    for (std::uint32_t i = 0; i < n_counters; ++i) {
-      const std::string name = take_name(in, off);
-      counter(name).inc(take_u64(in, off));
-    }
-    const std::uint32_t n_gauges = read_u32le(in, off);
-    off += 4;
-    for (std::uint32_t i = 0; i < n_gauges; ++i) {
-      const std::string name = take_name(in, off);
-      if (off >= in.size()) {
-        throw std::runtime_error("MetricsRegistry: truncated binary image");
-      }
-      const bool set = in[off++] != 0;
-      const std::int64_t v = static_cast<std::int64_t>(take_u64(in, off));
-      if (set) gauge(name).max_in(v);
-    }
-    const std::uint32_t n_hists = read_u32le(in, off);
-    off += 4;
-    for (std::uint32_t i = 0; i < n_hists; ++i) {
-      const std::string name = take_name(in, off);
-      const std::uint64_t count = take_u64(in, off);
-      const std::uint64_t sum = take_u64(in, off);
-      const std::uint64_t min = take_u64(in, off);
-      const std::uint64_t max = take_u64(in, off);
-      std::array<std::uint64_t, Histogram::kBuckets> buckets;
-      for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
-        buckets[b] = take_u64(in, off);
-      }
-      histogram(name).merge_raw(buckets, count, sum, min, max);
-    }
-  } catch (const std::out_of_range&) {
-    throw std::runtime_error("MetricsRegistry: truncated binary image");
-  }
 }
 
 void MetricsRegistry::write_json(JsonWriter& w) const {

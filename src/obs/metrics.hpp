@@ -27,7 +27,6 @@
 #include <string>
 #include <string_view>
 
-#include "common/bytes.hpp"
 #include "common/json.hpp"
 
 namespace cra::obs {
@@ -90,11 +89,6 @@ class Histogram {
     return buckets_;
   }
   void merge_from(const Histogram& other) noexcept;
-  /// Fold raw instrument state (a decoded binary snapshot) in — same
-  /// semantics as merge_from. Used by MetricsRegistry::merge_binary.
-  void merge_raw(const std::array<std::uint64_t, kBuckets>& buckets,
-                 std::uint64_t count, std::uint64_t sum, std::uint64_t min,
-                 std::uint64_t max) noexcept;
   void reset() noexcept;
 
  private:
@@ -130,19 +124,6 @@ class MetricsRegistry {
   /// Zero every instrument, keeping registrations (and thus every cached
   /// handle) intact. Used at round boundaries.
   void reset_values() noexcept;
-
-  /// --- Binary snapshot (multi-process engine) ---
-  /// The multi-process sharded engine ships each shard's registry to its
-  /// peers through a fixed shared-memory window at the end of every run;
-  /// encode_binary appends a self-delimiting little-endian image of all
-  /// instruments to `out`, and merge_binary folds such an image into
-  /// this registry with exactly merge_from's semantics (counters add,
-  /// gauges max over set gauges, histograms merge). The format is
-  /// private to one build of one binary — both sides are forks of the
-  /// same process — and is versioned only by that. merge_binary throws
-  /// std::runtime_error on a truncated or malformed image.
-  void encode_binary(Bytes& out) const;
-  void merge_binary(BytesView in);
 
   bool empty() const noexcept {
     return counters_.empty() && gauges_.empty() && histograms_.empty();

@@ -94,30 +94,17 @@ void PadsSimulation::setup_engine() {
     merge_ctrs_.push_back(&engine_->shard_metrics(s).counter("pads.merges"));
     reject_ctrs_.push_back(
         &engine_->shard_metrics(s).counter("pads.token_failures"));
-    // Serialized cross-shard delivery; see sap::SapSimulation's router
-    // for the spent-buffer recycling contract.
-    net->set_router([this, s](net::Message m, sim::SimTime at) {
-      Bytes spent =
-          engine_->post_message(m.dst, at, m.src, m.kind, std::move(m.payload));
-      if (spent.capacity() != 0) {
-        shard_nets_[s]->recycle_payload(std::move(spent));
-      }
+    // Deliveries go through the engine; see sap::SapSimulation's router.
+    net->set_router([this](net::Message m, sim::SimTime at) {
+      engine_->post_message(m.dst, at, m.src, m.kind, std::move(m.payload));
     });
     shard_nets_.push_back(std::move(net));
   }
-  engine_->set_message_sinks(
-      [this](sim::ShardMessage&& sm) {
-        net::Message m{sm.src, sm.entity, sm.kind, std::move(sm.payload)};
-        on_message(m);
-        net_of(m.dst).recycle_payload(std::move(m.payload));
-      },
-      [this](const sim::ShardMessageView& v) {
-        net::Message m{v.src, v.entity, v.kind,
-                       net_of(v.entity).acquire_payload()};
-        m.payload.assign(v.payload.begin(), v.payload.end());
-        on_message(m);
-        net_of(m.dst).recycle_payload(std::move(m.payload));
-      });
+  engine_->set_message_sink([this](sim::ShardMessage&& sm) {
+    net::Message m{sm.src, sm.entity, sm.kind, std::move(sm.payload)};
+    on_message(m);
+    net_of(m.dst).recycle_payload(std::move(m.payload));
+  });
 }
 
 void PadsSimulation::sync_shard_networks() {

@@ -78,18 +78,12 @@ void SapSimulation::setup_engine() {
   for (std::uint32_t s = 0; s < engine_->shard_count(); ++s) {
     auto net = std::make_unique<net::Network>(engine_->shard(s), config_.link);
     net->set_handler([this](const net::Message& m) { on_message(m); });
-    // Deliveries cross shard boundaries through the engine's channel as
-    // serialized ShardMessages (transport-portable: the shm rings can't
-    // carry closures); the arrival time carries the full link delay,
-    // which is >= the engine's lookahead by construction. When the
-    // transport serialized the payload out, the spent capacity recycles
-    // into the SENDING shard's pool — this router runs on that worker.
-    net->set_router([this, s](net::Message m, sim::SimTime at) {
-      Bytes spent =
-          engine_->post_message(m.dst, at, m.src, m.kind, std::move(m.payload));
-      if (spent.capacity() != 0) {
-        shard_nets_[s]->recycle_payload(std::move(spent));
-      }
+    // Deliveries go through the engine as ShardMessages (crossing the
+    // shard channel when the destination lives elsewhere); the arrival
+    // time carries the full link delay, which is >= the engine's
+    // lookahead by construction.
+    net->set_router([this](net::Message m, sim::SimTime at) {
+      engine_->post_message(m.dst, at, m.src, m.kind, std::move(m.payload));
     });
     // Shard-confined accounting: the shard's network and the protocol's
     // per-shard instruments write to the shard's own registry; they are
@@ -102,27 +96,15 @@ void SapSimulation::setup_engine() {
     unreachable_ctrs_.push_back(&reg.counter("sap.unreachable_marks"));
     shard_nets_.push_back(std::move(net));
   }
-  // Delivery sinks: both run on the DESTINATION shard's worker at the
-  // message's arrival time and must be behavior-identical (or the
-  // transports would diverge). The owning sink receives the payload
-  // buffer intact (same-shard and inproc paths); the view sink rebuilds
-  // an owned message from the borrowed bytes (shm path), drawing from
-  // the destination shard's pool. Either way the capacity recycles into
-  // the destination's network — that is where the next send from this
-  // position will acquire from.
-  engine_->set_message_sinks(
-      [this](sim::ShardMessage&& sm) {
-        net::Message m{sm.src, sm.entity, sm.kind, std::move(sm.payload)};
-        on_message(m);
-        net_of(m.dst).recycle_payload(std::move(m.payload));
-      },
-      [this](const sim::ShardMessageView& v) {
-        net::Message m{v.src, v.entity, v.kind,
-                       net_of(v.entity).acquire_payload()};
-        m.payload.assign(v.payload.begin(), v.payload.end());
-        on_message(m);
-        net_of(m.dst).recycle_payload(std::move(m.payload));
-      });
+  // Delivery sink: runs on the DESTINATION shard's worker at the
+  // message's arrival time with the payload buffer intact. Its capacity
+  // recycles into the destination's network — that is where the next
+  // send from this position will acquire from.
+  engine_->set_message_sink([this](sim::ShardMessage&& sm) {
+    net::Message m{sm.src, sm.entity, sm.kind, std::move(sm.payload)};
+    on_message(m);
+    net_of(m.dst).recycle_payload(std::move(m.payload));
+  });
 }
 
 void SapSimulation::sync_shard_networks() {

@@ -90,36 +90,21 @@ void SedaSimulation::setup_engine() {
     net->bind_metrics(&engine_->shard_metrics(s));
     mac_ctrs_.push_back(&engine_->shard_metrics(s).counter("seda.mac_failures"));
     join_ctrs_.push_back(&engine_->shard_metrics(s).counter("seda.join_acks"));
-    // Deliveries cross shard boundaries through the engine's channel as
-    // serialized ShardMessages (transport-portable); the arrival time
-    // carries the full link delay, which is >= the engine's lookahead by
-    // construction. A spent payload (shm serialization) recycles into
-    // the SENDING shard's pool — this router runs on that worker.
-    net->set_router([this, s](net::Message m, sim::SimTime at) {
-      Bytes spent =
-          engine_->post_message(m.dst, at, m.src, m.kind, std::move(m.payload));
-      if (spent.capacity() != 0) {
-        shard_nets_[s]->recycle_payload(std::move(spent));
-      }
+    // Deliveries go through the engine as ShardMessages; the arrival
+    // time carries the full link delay, which is >= the engine's
+    // lookahead by construction.
+    net->set_router([this](net::Message m, sim::SimTime at) {
+      engine_->post_message(m.dst, at, m.src, m.kind, std::move(m.payload));
     });
     shard_nets_.push_back(std::move(net));
   }
-  // Delivery sinks run on the destination shard's worker; see the
-  // identical wiring in sap::SapSimulation::setup_engine for the
-  // owning-vs-view split.
-  engine_->set_message_sinks(
-      [this](sim::ShardMessage&& sm) {
-        net::Message m{sm.src, sm.entity, sm.kind, std::move(sm.payload)};
-        on_message(m);
-        net_of(m.dst).recycle_payload(std::move(m.payload));
-      },
-      [this](const sim::ShardMessageView& v) {
-        net::Message m{v.src, v.entity, v.kind,
-                       net_of(v.entity).acquire_payload()};
-        m.payload.assign(v.payload.begin(), v.payload.end());
-        on_message(m);
-        net_of(m.dst).recycle_payload(std::move(m.payload));
-      });
+  // The delivery sink runs on the destination shard's worker; see the
+  // identical wiring in sap::SapSimulation::setup_engine.
+  engine_->set_message_sink([this](sim::ShardMessage&& sm) {
+    net::Message m{sm.src, sm.entity, sm.kind, std::move(sm.payload)};
+    on_message(m);
+    net_of(m.dst).recycle_payload(std::move(m.payload));
+  });
 }
 
 void SedaSimulation::sync_shard_networks() {

@@ -1,195 +1,34 @@
 #include "sim/channel.hpp"
 
-#include <cstring>
-#include <stdexcept>
-#include <string>
-
-#include "sim/process_group.hpp"
-#include "sim/spsc_ring.hpp"
-
 namespace cra::sim {
-namespace {
 
-// ---------------------------------------------------------------------------
-// In-process lanes
-
-class InprocChannel final : public ChannelTransport {
- public:
-  explicit InprocChannel(std::uint32_t shard_count)
-      : shard_count_(shard_count) {
-    lanes_.reserve(static_cast<std::size_t>(shard_count) * shard_count);
-    for (std::size_t i = 0;
-         i < static_cast<std::size_t>(shard_count) * shard_count; ++i) {
-      lanes_.push_back(std::make_unique<Lane>());
-    }
-  }
-
-  Kind kind() const noexcept override { return Kind::kInproc; }
-  const char* name() const noexcept override { return "inproc"; }
-
-  bool post_callback(std::uint32_t from, std::uint32_t to, SimTime at,
-                     Scheduler::Callback cb) override {
-    Lane& l = lane(from, to);
-    if (l.items.size() == l.items.capacity()) ++l.reallocs;
-    l.items.push_back(Posted{at, std::move(cb)});
-    return true;
-  }
-
-  Bytes post_message(std::uint32_t from, std::uint32_t to,
-                     ShardMessage&& m) override {
-    // Wrap the owned message now; it rides the lane as a closure and the
-    // payload never copies. The sink closure is installed by the engine
-    // at drain time, so the lane stores the raw message via a deferred
-    // tag — simplest encoding: a callback that the engine interprets.
-    // (The engine passes a sched_msg-materializing wrapper instead; see
-    // ParallelScheduler::post_message, which never reaches here for the
-    // in-process transport.)
-    (void)from;
-    (void)to;
-    (void)m;
-    throw std::logic_error(
-        "InprocChannel: post_message is handled by the engine (wrapped "
-        "as a callback before it reaches the transport)");
-  }
-
-  void drain(std::uint32_t to,
-             const std::function<void(SimTime, Scheduler::Callback&&)>&
-                 sched_cb,
-             const std::function<void(const ShardMessageView&)>& /*sched_msg*/)
-      override {
-    for (std::uint32_t from = 0; from < shard_count_; ++from) {
-      Lane& l = lane(from, to);
-      for (Posted& p : l.items) sched_cb(p.at, std::move(p.cb));
-      // clear() keeps capacity: next epoch's posts land in warm storage.
-      l.items.clear();
-    }
-  }
-
-  std::uint64_t lane_reallocs() const noexcept override {
-    std::uint64_t n = 0;
-    for (const auto& l : lanes_) n += l->reallocs;
-    return n;
-  }
-
- private:
-  struct Posted {
-    SimTime at;
-    Scheduler::Callback cb;
-  };
-  // Heap-allocated and cacheline-aligned: a lane's single writer and
-  // single reader run on different workers in alternating phases.
-  struct alignas(64) Lane {
-    std::vector<Posted> items;
-    std::uint64_t reallocs = 0;
-  };
-
-  Lane& lane(std::uint32_t from, std::uint32_t to) noexcept {
-    return *lanes_[static_cast<std::size_t>(from) * shard_count_ + to];
-  }
-
-  std::uint32_t shard_count_;
-  std::vector<std::unique_ptr<Lane>> lanes_;
-};
-
-// ---------------------------------------------------------------------------
-// Shared-memory rings
-
-/// Wire header of a serialized ShardMessage inside a ring record.
-struct RecordHeader {
-  std::int64_t at_ns;
-  std::uint32_t entity;
-  std::uint32_t src;
-  std::uint32_t kind;
-};
-static_assert(sizeof(RecordHeader) == 24);
-
-class ShmChannel final : public ChannelTransport {
- public:
-  ShmChannel(std::uint32_t shard_count, std::uint32_t ring_slots,
-             SharedArena& arena)
-      : shard_count_(shard_count), ring_slots_(ring_slots) {
-    rings_.resize(static_cast<std::size_t>(shard_count) * shard_count,
-                  nullptr);
-    for (std::uint32_t from = 0; from < shard_count; ++from) {
-      for (std::uint32_t to = 0; to < shard_count; ++to) {
-        if (from == to) continue;  // same-shard events never reach a channel
-        void* mem = arena.alloc(SpscRing::region_bytes(ring_slots));
-        rings_[static_cast<std::size_t>(from) * shard_count + to] =
-            SpscRing::create(mem, ring_slots);
-      }
-    }
-  }
-
-  Kind kind() const noexcept override { return Kind::kShm; }
-  const char* name() const noexcept override { return "shm"; }
-
-  bool post_callback(std::uint32_t, std::uint32_t, SimTime,
-                     Scheduler::Callback) override {
-    return false;  // closures don't serialize; engine reports the misuse
-  }
-
-  Bytes post_message(std::uint32_t from, std::uint32_t to,
-                     ShardMessage&& m) override {
-    RecordHeader h{m.at.ns(), m.entity, m.src, m.kind};
-    SpscRing* ring = rings_[static_cast<std::size_t>(from) * shard_count_ + to];
-    if (!ring->try_push2(&h, sizeof(h), m.payload.data(),
-                         static_cast<std::uint32_t>(m.payload.size()))) {
-      throw std::logic_error(
-          "ShmChannel: cross-shard ring " + std::to_string(from) + "->" +
-          std::to_string(to) + " full (" + std::to_string(ring_slots_) +
-          " slots) — one epoch posted more traffic than the ring holds; "
-          "raise SimConfig::ring_slots or CRA_SHARD_RING_SLOTS");
-    }
-    Bytes spent = std::move(m.payload);
-    spent.clear();
-    return spent;
-  }
-
-  void drain(std::uint32_t to,
-             const std::function<void(SimTime, Scheduler::Callback&&)>&
-             /*sched_cb*/,
-             const std::function<void(const ShardMessageView&)>& sched_msg)
-      override {
-    for (std::uint32_t from = 0; from < shard_count_; ++from) {
-      if (from == to) continue;
-      SpscRing* ring =
-          rings_[static_cast<std::size_t>(from) * shard_count_ + to];
-      std::uint32_t len = 0;
-      const std::uint8_t* rec;
-      while ((rec = ring->peek(len)) != nullptr) {
-        if (len < sizeof(RecordHeader)) {
-          throw std::runtime_error("ShmChannel: truncated record");
-        }
-        RecordHeader h;
-        std::memcpy(&h, rec, sizeof(h));
-        ShardMessageView v{SimTime(h.at_ns), h.entity, h.src, h.kind,
-                           BytesView(rec + sizeof(h),
-                                     len - sizeof(RecordHeader))};
-        sched_msg(v);  // copies the payload before we release the slot
-        ring->pop();
-      }
-    }
-  }
-
-  std::uint64_t lane_reallocs() const noexcept override { return 0; }
-
- private:
-  std::uint32_t shard_count_;
-  std::uint32_t ring_slots_;
-  std::vector<SpscRing*> rings_;  // arena-owned storage
-};
-
-}  // namespace
-
-std::unique_ptr<ChannelTransport> make_inproc_channel(
-    std::uint32_t shard_count) {
-  return std::make_unique<InprocChannel>(shard_count);
+ShardChannel::ShardChannel(std::uint32_t shard_count)
+    : shard_count_(shard_count) {
+  const std::size_t n = static_cast<std::size_t>(shard_count) * shard_count;
+  lanes_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) lanes_.push_back(std::make_unique<Lane>());
 }
 
-std::unique_ptr<ChannelTransport> make_shm_channel(std::uint32_t shard_count,
-                                                   std::uint32_t ring_slots,
-                                                   SharedArena& arena) {
-  return std::make_unique<ShmChannel>(shard_count, ring_slots, arena);
+void ShardChannel::post(std::uint32_t from, std::uint32_t to, SimTime at,
+                        Scheduler::Callback cb) {
+  Lane& l = lane(from, to);
+  if (l.items.size() == l.items.capacity()) ++l.reallocs;
+  l.items.push_back(Posted{at, std::move(cb)});
+}
+
+void ShardChannel::drain(std::uint32_t to, Scheduler& into) {
+  for (std::uint32_t from = 0; from < shard_count_; ++from) {
+    Lane& l = lane(from, to);
+    for (Posted& p : l.items) into.schedule_at(p.at, std::move(p.cb));
+    // clear() keeps capacity: next epoch's posts land in warm storage.
+    l.items.clear();
+  }
+}
+
+std::uint64_t ShardChannel::lane_reallocs() const noexcept {
+  std::uint64_t n = 0;
+  for (const auto& l : lanes_) n += l->reallocs;
+  return n;
 }
 
 }  // namespace cra::sim

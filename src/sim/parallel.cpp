@@ -2,20 +2,10 @@
 
 #include <algorithm>
 #include <barrier>
-#include <bit>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
-#include <limits>
 #include <mutex>
-#include <new>
 #include <stdexcept>
 #include <thread>
-
-#include "sim/affinity.hpp"
-#include "sim/process_group.hpp"
-#include "sim/shm_sync.hpp"
-#include "sim/spsc_ring.hpp"
 
 namespace cra::sim {
 namespace {
@@ -27,122 +17,33 @@ namespace {
 thread_local const ParallelScheduler* tls_engine = nullptr;
 thread_local std::uint32_t tls_shard = 0;
 
-/// Recycled shm-delivery buffers kept per shard (same cap as the
-/// network payload pools).
-constexpr std::size_t kMaxSpareBuffers = 1024;
-
-/// Per-shard shared-memory window for the end-of-run metrics image.
-constexpr std::uint32_t kMetricsBlobCap = 256 * 1024;
-
-std::uint32_t resolve_ring_slots(std::uint32_t configured,
-                                 std::uint32_t block) noexcept {
-  std::uint64_t slots = configured;
-  if (slots == 0) {
-    if (const char* env = std::getenv("CRA_SHARD_RING_SLOTS")) {
-      slots = std::strtoull(env, nullptr, 10);
-    }
-  }
-  if (slots == 0) {
-    // Sized for the heaviest plausible epoch: a burst where a sizable
-    // fraction of one shard's entities post to a single peer shard
-    // within one lookahead window (synchronized attestation responses
-    // do exactly this). ~3 slots per message, 4 per entity is generous.
-    slots = std::max<std::uint64_t>(4096, 4ull * block);
-  }
-  slots = std::min<std::uint64_t>(slots, 1u << 16);
-  return std::bit_ceil(static_cast<std::uint32_t>(slots));
+std::uint32_t shard_count_for(std::uint32_t entities,
+                              const SimConfig& config) noexcept {
+  return std::clamp<std::uint32_t>(config.effective_shards(), 1,
+                                   std::max<std::uint32_t>(entities, 1));
 }
 
 }  // namespace
 
-ShardTransport SimConfig::resolved_transport() const noexcept {
-  if (transport != ShardTransport::kAuto) return transport;
-  if (const char* env = std::getenv("CRA_SHARD_TRANSPORT")) {
-    if (std::strcmp(env, "shm") == 0) return ShardTransport::kShm;
-    if (std::strcmp(env, "inproc") == 0) return ShardTransport::kInproc;
-  }
-  return processes > 1 ? ShardTransport::kShm : ShardTransport::kInproc;
-}
-
 ParallelScheduler::ParallelScheduler(std::uint32_t entities, SimConfig config,
                                      Duration lookahead)
-    : lookahead_(lookahead) {
-  if (entities == 0) entities = 1;
-  std::uint32_t shards = config.effective_shards();
-  if (shards == 0) shards = 1;
-  shard_count_ = std::min(shards, entities);
-  threads_ = std::max<std::uint32_t>(1, std::min(config.threads, shard_count_));
+    : shard_count_(shard_count_for(entities, config)),
+      threads_(std::clamp<std::uint32_t>(config.threads, 1, shard_count_)),
+      block_((std::max<std::uint32_t>(entities, 1) + shard_count_ - 1) /
+             shard_count_),
+      lookahead_(lookahead),
+      channel_(shard_count_) {
   if (shard_count_ > 1 && lookahead_ <= Duration::zero()) {
     throw std::invalid_argument(
         "ParallelScheduler: sharding requires positive lookahead");
-  }
-  block_ = (entities + shard_count_ - 1) / shard_count_;
-  pin_ = config.pin;
-  processes_ = std::max<std::uint32_t>(1, config.processes);
-  if (processes_ > shard_count_) processes_ = shard_count_;
-  transport_ = shard_count_ > 1 ? config.resolved_transport()
-                                : ShardTransport::kInproc;
-  if (processes_ > 1 && transport_ != ShardTransport::kShm) {
-    throw std::invalid_argument(
-        "ParallelScheduler: multi-process placement requires the shm "
-        "transport (SimConfig::transport / CRA_SHARD_TRANSPORT)");
   }
   shards_.reserve(shard_count_);
   for (std::uint32_t s = 0; s < shard_count_; ++s) {
     shards_.push_back(std::make_unique<Shard>());
   }
-  if (shard_count_ == 1) return;
-
-  if (transport_ == ShardTransport::kShm) {
-    ring_slots_ = resolve_ring_slots(config.ring_slots, block_);
-    metrics_blob_cap_ = kMetricsBlobCap;
-    std::size_t bytes = 0;
-    bytes += sizeof(ShmBarrierCell) + 64;
-    bytes += sizeof(ShmHorizonCell) + 64;
-    bytes += 64 + 64;  // abort word
-    bytes += static_cast<std::size_t>(shard_count_) * sizeof(ShardCell) + 64;
-    bytes += static_cast<std::size_t>(shard_count_) * metrics_blob_cap_ + 64;
-    bytes += static_cast<std::size_t>(shard_count_) * (shard_count_ - 1) *
-             (SpscRing::region_bytes(ring_slots_) + 64);
-    arena_ = std::make_unique<SharedArena>(bytes);
-    barrier_ = ::new (arena_->alloc(sizeof(ShmBarrierCell))) ShmBarrierCell();
-    control_ = ::new (arena_->alloc(sizeof(ShmHorizonCell))) ShmHorizonCell();
-    shm_abort_ = ::new (arena_->alloc(sizeof(std::atomic<std::uint32_t>)))
-        std::atomic<std::uint32_t>(0);
-    cells_ = static_cast<ShardCell*>(
-        arena_->alloc(static_cast<std::size_t>(shard_count_) *
-                      sizeof(ShardCell)));
-    for (std::uint32_t s = 0; s < shard_count_; ++s) {
-      ::new (&cells_[s]) ShardCell();
-    }
-    metrics_blobs_ = static_cast<std::uint8_t*>(arena_->alloc(
-        static_cast<std::size_t>(shard_count_) * metrics_blob_cap_));
-    channel_ = make_shm_channel(shard_count_, ring_slots_, *arena_);
-  } else {
-    channel_ = make_inproc_channel(shard_count_);
-  }
 }
 
 ParallelScheduler::~ParallelScheduler() = default;
-
-const char* ParallelScheduler::transport_name() const noexcept {
-  return transport_ == ShardTransport::kShm ? "shm" : "inproc";
-}
-
-std::pair<std::uint32_t, std::uint32_t> ParallelScheduler::owned_shards(
-    std::uint32_t rank) const noexcept {
-  const std::uint32_t base = shard_count_ / processes_;
-  const std::uint32_t rem = shard_count_ % processes_;
-  const std::uint32_t lo = rank * base + std::min(rank, rem);
-  const std::uint32_t count = base + (rank < rem ? 1 : 0);
-  return {lo, lo + count};
-}
-
-bool ParallelScheduler::owns_shard(std::uint32_t s) const noexcept {
-  if (processes_ == 1) return true;
-  const auto [lo, hi] = owned_shards(ProcessGroup::instance().rank());
-  return s >= lo && s < hi;
-}
 
 SimTime ParallelScheduler::now() const noexcept {
   SimTime t = SimTime::zero();
@@ -153,33 +54,15 @@ SimTime ParallelScheduler::now() const noexcept {
 }
 
 std::uint64_t ParallelScheduler::dispatched() const noexcept {
-  if (transport_ == ShardTransport::kShm && processes_ > 1) {
-    std::uint64_t n = 0;
-    for (std::uint32_t s = 0; s < shard_count_; ++s) {
-      n += cells_[s].dispatched_total.load(std::memory_order_acquire);
-    }
-    return n;
-  }
   std::uint64_t n = 0;
   for (const auto& s : shards_) n += s->sched.dispatched();
   return n;
 }
 
 std::uint64_t ParallelScheduler::cross_shard_posts() const noexcept {
-  if (transport_ == ShardTransport::kShm && processes_ > 1) {
-    std::uint64_t n = 0;
-    for (std::uint32_t s = 0; s < shard_count_; ++s) {
-      n += cells_[s].cross_posts.load(std::memory_order_acquire);
-    }
-    return n;
-  }
   std::uint64_t n = 0;
   for (const auto& s : shards_) n += s->cross_posts;
   return n;
-}
-
-std::uint64_t ParallelScheduler::lane_reallocs() const noexcept {
-  return channel_ ? channel_->lane_reallocs() : 0;
 }
 
 void ParallelScheduler::export_pdes_metrics(obs::MetricsRegistry& reg) const {
@@ -190,25 +73,6 @@ void ParallelScheduler::export_pdes_metrics(obs::MetricsRegistry& reg) const {
 }
 
 void ParallelScheduler::merge_metrics_into(obs::MetricsRegistry& out) const {
-  if (transport_ == ShardTransport::kShm && processes_ > 1) {
-    // Ascending shard order, exactly like the local path: owned shards
-    // merge live registries, peer shards merge the binary images their
-    // owners published at the end of the last run.
-    for (std::uint32_t s = 0; s < shard_count_; ++s) {
-      if (owns_shard(s)) {
-        out.merge_from(shards_[s]->metrics);
-        continue;
-      }
-      const std::uint32_t len =
-          cells_[s].metrics_len.load(std::memory_order_acquire);
-      if (len != 0) {
-        out.merge_binary(BytesView(
-            metrics_blobs_ + static_cast<std::size_t>(s) * metrics_blob_cap_,
-            len));
-      }
-    }
-    return;
-  }
   for (const auto& s : shards_) out.merge_from(s->metrics);
 }
 
@@ -225,13 +89,7 @@ void ParallelScheduler::post(std::uint32_t entity, SimTime at, Callback cb) {
             "ParallelScheduler: cross-shard event inside the lookahead "
             "window — source latency is below the configured lookahead");
       }
-      if (!channel_->post_callback(tls_shard, to, at, std::move(cb))) {
-        throw std::logic_error(
-            "ParallelScheduler: the shm transport cannot carry callbacks "
-            "across shards (closures don't serialize) — route protocol "
-            "traffic through post_message(), or select the inproc "
-            "transport");
-      }
+      channel_.post(tls_shard, to, at, std::move(cb));
       ++shards_[tls_shard]->cross_posts;
       return;
     }
@@ -250,83 +108,18 @@ void ParallelScheduler::post(std::uint32_t entity, SimTime at, Callback cb) {
   shard(to).schedule_at(at, std::move(cb));
 }
 
-Bytes ParallelScheduler::post_message(std::uint32_t entity, SimTime at,
-                                      std::uint32_t src, std::uint32_t kind,
-                                      Bytes&& payload) {
-  const std::uint32_t to = shard_of(entity);
-  ShardMessage m{at, entity, src, kind, std::move(payload)};
-  if (tls_engine == this) {
-    if (running_.load(std::memory_order_relaxed) && tls_shard != to) {
-      if (at < horizon_) {
-        throw std::logic_error(
-            "ParallelScheduler: cross-shard message inside the lookahead "
-            "window — source latency is below the configured lookahead");
-      }
-      ++shards_[tls_shard]->cross_posts;
-      if (channel_->kind() == ChannelTransport::Kind::kShm) {
-        return channel_->post_message(tls_shard, to, std::move(m));
-      }
-      // In-process: the owned message rides the lane as a closure —
-      // zero-copy, and dispatch order is identical to the shm path
-      // (drains visit lanes in the same source order, FIFO within).
-      channel_->post_callback(
-          tls_shard, to, at,
-          [this, sm = std::move(m)]() mutable { sink_(std::move(sm)); });
-      return {};
-    }
-    shard(to).schedule_at(
-        at, [this, sm = std::move(m)]() mutable { sink_(std::move(sm)); });
-    return {};
-  }
-  if (running_.load(std::memory_order_acquire)) {
-    throw std::logic_error(
-        "ParallelScheduler::post_message: called from a foreign thread "
-        "while the engine is running — posting is setup-only outside the "
-        "engine's own workers (see the contract in sim/parallel.hpp)");
-  }
-  shard(to).schedule_at(
-      at, [this, sm = std::move(m)]() mutable { sink_(std::move(sm)); });
-  return {};
+void ParallelScheduler::post_message(std::uint32_t entity, SimTime at,
+                                     std::uint32_t src, std::uint32_t kind,
+                                     Bytes&& payload) {
+  // The owned message rides as a closure: the payload buffer moves
+  // through the channel lane and into the sink, never copied.
+  post(entity, at,
+       [this, sm = ShardMessage{at, entity, src, kind, std::move(payload)}]()
+           mutable { sink_(std::move(sm)); });
 }
 
-void ParallelScheduler::set_message_sinks(MessageSink deliver,
-                                          MessageViewSink deliver_view) {
+void ParallelScheduler::set_message_sink(MessageSink deliver) {
   sink_ = std::move(deliver);
-  view_sink_ = std::move(deliver_view);
-}
-
-void ParallelScheduler::deliver_view_into(std::uint32_t s,
-                                          const ShardMessageView& v) {
-  // Materialize the borrowed record into an owned buffer (the ring slot
-  // is released when drain() pops); the buffer cycles through the
-  // shard's spare list, so steady-state deliveries are allocation-free.
-  Shard& sh = *shards_[s];
-  Bytes buf;
-  if (!sh.spare.empty()) {
-    buf = std::move(sh.spare.back());
-    sh.spare.pop_back();
-  }
-  buf.assign(v.payload.begin(), v.payload.end());
-  ShardMessage m{v.at, v.entity, v.src, v.kind, std::move(buf)};
-  sh.sched.schedule_at(v.at, [this, sm = std::move(m)]() mutable {
-    const std::uint32_t dst = shard_of(sm.entity);
-    view_sink_(ShardMessageView{sm.at, sm.entity, sm.src, sm.kind,
-                                BytesView(sm.payload)});
-    Shard& dsh = *shards_[dst];
-    if (dsh.spare.size() < kMaxSpareBuffers) {
-      sm.payload.clear();
-      dsh.spare.push_back(std::move(sm.payload));
-    }
-  });
-}
-
-void ParallelScheduler::drain_into(std::uint32_t s) {
-  channel_->drain(
-      s,
-      [this, s](SimTime at, Callback&& cb) {
-        shards_[s]->sched.schedule_at(at, std::move(cb));
-      },
-      [this, s](const ShardMessageView& v) { deliver_view_into(s, v); });
 }
 
 void ParallelScheduler::sync_clocks() {
@@ -336,19 +129,9 @@ void ParallelScheduler::sync_clocks() {
   }
 }
 
-void ParallelScheduler::maybe_pin(std::uint32_t worker,
-                                  std::uint32_t workers) const {
-  if (!pin_) return;
-  static const CpuPlan plan = detect_cpu_plan();
-  const std::uint32_t rank =
-      processes_ > 1 ? ProcessGroup::instance().rank() : 0;
-  pin_current_thread(pick_cpu(plan, rank, processes_, worker, workers));
-}
-
 std::size_t ParallelScheduler::run() {
   if (shard_count_ == 1) return shards_[0]->sched.run();
   for (auto& s : shards_) s->dispatched_run = 0;
-  if (transport_ == ShardTransport::kShm) return run_shm(std::nullopt);
   const std::size_t n = threads_ > 1 ? run_threaded(std::nullopt)
                                      : run_serial_epochs(std::nullopt);
   sync_clocks();
@@ -358,7 +141,6 @@ std::size_t ParallelScheduler::run() {
 std::size_t ParallelScheduler::run_until(SimTime until) {
   if (shard_count_ == 1) return shards_[0]->sched.run_until(until);
   for (auto& s : shards_) s->dispatched_run = 0;
-  if (transport_ == ShardTransport::kShm) return run_shm(until);
   const std::size_t n = threads_ > 1 ? run_threaded(until)
                                      : run_serial_epochs(until);
   for (auto& s : shards_) s->sched.run_until(until);
@@ -383,7 +165,7 @@ std::size_t ParallelScheduler::run_serial_epochs(
     std::optional<SimTime> min_next;
     for (std::uint32_t s = 0; s < shard_count_; ++s) {
       tls_shard = s;
-      drain_into(s);
+      channel_.drain(s, shards_[s]->sched);
       const auto next = shards_[s]->sched.peek_next_time();
       if (next && (!min_next || *next < *min_next)) min_next = next;
     }
@@ -445,13 +227,12 @@ std::size_t ParallelScheduler::run_threaded(std::optional<SimTime> until) {
 
   auto worker_loop = [this, &sync, &abort, &record_error](std::uint32_t w) {
     tls_engine = this;
-    maybe_pin(w, threads_);
     for (;;) {
       // Phase A: drain the inbound channel, publish earliest local event.
       for (std::uint32_t s = w; s < shard_count_; s += threads_) {
         tls_shard = s;
         try {
-          drain_into(s);
+          channel_.drain(s, shards_[s]->sched);
         } catch (...) {
           record_error();
         }
@@ -486,222 +267,6 @@ std::size_t ParallelScheduler::run_threaded(std::optional<SimTime> until) {
   if (error) std::rethrow_exception(error);
   std::size_t n = 0;
   for (const auto& s : shards_) n += s->dispatched_run;
-  return n;
-}
-
-void ParallelScheduler::publish_shard_outputs(std::uint32_t s) {
-  Shard& sh = *shards_[s];
-  cells_[s].clock_ns.store(sh.sched.now().ns(), std::memory_order_relaxed);
-  cells_[s].dispatched_run.store(sh.dispatched_run,
-                                 std::memory_order_relaxed);
-  cells_[s].dispatched_total.store(sh.sched.dispatched(),
-                                   std::memory_order_relaxed);
-  cells_[s].cross_posts.store(sh.cross_posts, std::memory_order_relaxed);
-  if (processes_ > 1) {
-    Bytes image;
-    sh.metrics.encode_binary(image);
-    if (image.size() > metrics_blob_cap_) {
-      throw std::runtime_error(
-          "ParallelScheduler: shard metrics image exceeds the shared "
-          "window — too many distinct instruments for multi-process mode");
-    }
-    std::memcpy(
-        metrics_blobs_ + static_cast<std::size_t>(s) * metrics_blob_cap_,
-        image.data(), image.size());
-    cells_[s].metrics_len.store(static_cast<std::uint32_t>(image.size()),
-                                std::memory_order_release);
-  }
-}
-
-std::size_t ParallelScheduler::run_shm(std::optional<SimTime> until) {
-  ProcessGroup& pg = ProcessGroup::instance();
-  if (processes_ > 1 && pg.size() != processes_) {
-    throw std::logic_error(
-        "ParallelScheduler: SimConfig::processes = " +
-        std::to_string(processes_) +
-        " but the ProcessGroup has not been spawned — construct the "
-        "simulation first, then ProcessGroup::spawn(processes), then run");
-  }
-  const std::uint32_t rank = processes_ > 1 ? pg.rank() : 0;
-  const auto [lo, hi] = owned_shards(rank);
-  if (processes_ > 1) {
-    // Every rank scheduled the same SPMD setup events into every shard;
-    // drop the copies on shards this rank does not own — their owners
-    // run the authoritative ones.
-    for (std::uint32_t s = 0; s < shard_count_; ++s) {
-      if (s < lo || s >= hi) shards_[s]->sched.clear_pending();
-    }
-  }
-  const std::uint32_t workers =
-      std::max<std::uint32_t>(1, std::min(threads_, hi - lo));
-  shm_abort_->store(0, std::memory_order_relaxed);
-  running_.store(true, std::memory_order_release);
-  done_ = false;
-
-  std::mutex error_mu;
-  std::exception_ptr error;
-  bool barrier_failed = false;
-
-  auto record_error = [&]() noexcept {
-    const std::lock_guard<std::mutex> lock(error_mu);
-    if (!error) error = std::current_exception();
-    // Graceful abort: this rank keeps participating in barriers; the
-    // next phase-A reduction sees the flag and publishes done for all.
-    shm_abort_->store(1, std::memory_order_release);
-  };
-  auto alive = [this]() noexcept {
-    return processes_ == 1 || ProcessGroup::instance().peers_alive();
-  };
-  const bool has_until = until.has_value();
-  const std::int64_t until_ns = has_until ? until->ns() : 0;
-
-  // The cross-process min-reduction, run by the global barrier's last
-  // arriver while every worker in every rank is parked.
-  auto reduce = [this, has_until, until_ns]() noexcept {
-    std::int64_t min_next = std::numeric_limits<std::int64_t>::max();
-    for (std::uint32_t s = 0; s < shard_count_; ++s) {
-      min_next = std::min(
-          min_next, cells_[s].next_ns.load(std::memory_order_acquire));
-    }
-    const bool is_done =
-        shm_abort_->load(std::memory_order_acquire) != 0 ||
-        min_next == std::numeric_limits<std::int64_t>::max() ||
-        (has_until && min_next > until_ns);
-    std::int64_t horizon = 0;
-    if (!is_done) {
-      horizon = min_next + lookahead_.ns();
-      if (has_until && horizon > until_ns + 1) {
-        horizon = until_ns + 1;  // run_before is exclusive
-      }
-    }
-    control_->publish(horizon, is_done,
-                      control_->epoch.load(std::memory_order_relaxed) + 1);
-  };
-
-  bool phase_a = true;
-  auto completion = [&]() noexcept {
-    if (!phase_a) {
-      phase_a = true;
-      if (!barrier_->wait(processes_, []() noexcept {}, alive)) {
-        barrier_failed = true;
-        done_ = true;
-      }
-      return;
-    }
-    phase_a = false;
-    if (!barrier_->wait(processes_, reduce, alive)) {
-      barrier_failed = true;
-      done_ = true;
-      return;
-    }
-    std::int64_t horizon;
-    bool is_done;
-    std::uint64_t epoch;
-    control_->read(horizon, is_done, epoch);
-    done_ = is_done;
-    if (!is_done) {
-      horizon_ = SimTime(horizon);
-      ++epochs_;
-    }
-  };
-  std::barrier sync(workers, completion);
-
-  auto worker_loop = [&](std::uint32_t w) {
-    tls_engine = this;
-    maybe_pin(w, workers);
-    for (;;) {
-      // Phase A: drain the inbound rings, publish the earliest local
-      // event time to this shard's shared cell.
-      for (std::uint32_t s = lo + w; s < hi; s += workers) {
-        tls_shard = s;
-        try {
-          drain_into(s);
-        } catch (...) {
-          record_error();
-        }
-        const auto next = shards_[s]->sched.peek_next_time();
-        cells_[s].next_ns.store(
-            next ? next->ns() : std::numeric_limits<std::int64_t>::max(),
-            std::memory_order_release);
-      }
-      sync.arrive_and_wait();
-      if (done_) break;
-      // Phase B: execute one lookahead window on each owned shard.
-      for (std::uint32_t s = lo + w; s < hi; s += workers) {
-        tls_shard = s;
-        try {
-          shards_[s]->dispatched_run += shards_[s]->sched.run_before(horizon_);
-        } catch (...) {
-          record_error();
-        }
-      }
-      sync.arrive_and_wait();
-    }
-    tls_engine = nullptr;
-  };
-
-  {
-    std::vector<std::jthread> pool;
-    pool.reserve(workers - 1);
-    for (std::uint32_t w = 1; w < workers; ++w) {
-      pool.emplace_back(worker_loop, w);
-    }
-    worker_loop(0);
-  }  // jthread joins here
-
-  running_.store(false, std::memory_order_release);
-
-  // End-of-run publication runs even when this rank captured an error:
-  // peers are parked at the final barrier and must be released before
-  // anyone throws (a graceful abort is globally visible by now, so every
-  // rank throws right after this barrier).
-  if (!barrier_failed) {
-    try {
-      for (std::uint32_t s = lo; s < hi; ++s) publish_shard_outputs(s);
-    } catch (...) {
-      record_error();
-    }
-    if (!barrier_->wait(
-            processes_,
-            [this]() noexcept {
-              std::int64_t now_max = 0;
-              for (std::uint32_t s = 0; s < shard_count_; ++s) {
-                now_max = std::max(
-                    now_max, cells_[s].clock_ns.load(std::memory_order_acquire));
-              }
-              control_->global_now_ns.store(now_max,
-                                            std::memory_order_release);
-            },
-            alive)) {
-      barrier_failed = true;
-    }
-  }
-  if (error) std::rethrow_exception(error);
-  if (barrier_failed) {
-    throw std::runtime_error(
-        "ParallelScheduler: a peer shard process died mid-run (epoch "
-        "barrier abandoned)");
-  }
-  if (shm_abort_->load(std::memory_order_acquire) != 0) {
-    throw std::runtime_error(
-        "ParallelScheduler: a peer shard process aborted the run");
-  }
-
-  // Global clock sync: every rank advances every local shard — owned or
-  // not — to the same reduced target, so between runs all ranks agree
-  // on now().
-  const SimTime target =
-      has_until ? *until
-                : SimTime(control_->global_now_ns.load(
-                      std::memory_order_acquire));
-  for (auto& s : shards_) {
-    if (s->sched.now() < target) s->sched.run_until(target);
-  }
-
-  std::size_t n = 0;
-  for (std::uint32_t s = 0; s < shard_count_; ++s) {
-    n += cells_[s].dispatched_run.load(std::memory_order_acquire);
-  }
   return n;
 }
 

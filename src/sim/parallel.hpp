@@ -19,30 +19,17 @@
 // time of its earliest event; a reduction step folds these to the
 // global minimum T and publishes the horizon T + L; (B) every shard
 // runs run_before(horizon). Events posted across shards during (B) go
-// through an explicit ChannelTransport (sim/channel.hpp) — each
-// directed (source, destination) lane has exactly one writer and one
-// reader, and the phases alternate under barriers, so the in-process
-// lanes need no locks and the shared-memory rings need only their SPSC
-// ordering.
-//
-// Two transports carry the shard boundary (SimConfig::transport /
-// CRA_SHARD_TRANSPORT):
-//
-//   * inproc — per-lane vectors of closures, zero-copy, one process.
-//   * shm    — per-lane SPSC rings in a MAP_SHARED arena; events are
-//     serialized ShardMessages, shard groups may live in separate
-//     forked processes (SimConfig::processes + sim::ProcessGroup), and
-//     the epoch reduction runs over shared-memory cells with a
-//     seqlock-published horizon instead of a std::barrier.
+// through an explicit ShardChannel (sim/channel.hpp) — each directed
+// (source, destination) lane has exactly one writer and one reader, and
+// the phases alternate under barriers, so the lanes need no locks.
 //
 // Determinism: each shard is a deterministic Scheduler (FIFO among
 // same-time events), channel lanes are drained in fixed source-shard
 // order, and the horizon sequence depends only on event timestamps —
 // so a run is a pure function of (inputs, shard count), independent of
-// the number of worker threads, the transport, and the shard-to-process
-// placement. With one shard the engine *is* the classic Scheduler:
-// run() forwards directly, so threads=1 reproduces the single-threaded
-// event order bit-for-bit.
+// the number of worker threads. With one shard the engine *is* the
+// classic Scheduler: run() forwards directly, so threads=1 reproduces
+// the single-threaded event order bit-for-bit.
 //
 // Threading contract for post(): safe from any of THIS engine's shard
 // workers while the engine runs, and from the driver thread while the
@@ -56,9 +43,9 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <utility>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "obs/metrics.hpp"
 #include "sim/channel.hpp"
 #include "sim/scheduler.hpp"
@@ -66,65 +53,42 @@
 
 namespace cra::sim {
 
-class SharedArena;
-struct ShmBarrierCell;
-struct ShmHorizonCell;
-
-/// Which channel implementation carries the shard boundary.
-enum class ShardTransport : std::uint8_t {
-  kAuto = 0,    // CRA_SHARD_TRANSPORT env if set, else inproc (shm when
-                // processes > 1)
-  kInproc = 1,  // in-process lanes (closures; zero-copy)
-  kShm = 2,     // shared-memory SPSC rings (serialized messages)
-};
-
 /// Execution knobs for the simulation engine, carried by protocol
 /// configs (sap::SapConfig::sim, seda::SedaConfig::sim).
 struct SimConfig {
-  /// Worker threads (per process). 1 = run on the calling thread (with
-  /// shards=0 this is exactly the classic single-queue engine).
+  /// Worker threads. 1 = run on the calling thread (with shards=0 this
+  /// is exactly the classic single-queue engine).
   std::uint32_t threads = 1;
   /// Shard count; 0 = one shard per thread. Results are a function of
   /// the shard count, not the thread count: fix `shards` and any
   /// `threads` value reproduces the same run (see docs/simulation.md).
   std::uint32_t shards = 0;
-  /// Shard-boundary transport. kAuto resolves via CRA_SHARD_TRANSPORT
-  /// ("inproc" / "shm") and defaults to inproc (shm when processes > 1).
-  ShardTransport transport = ShardTransport::kAuto;
-  /// Shard processes (shm transport only). Shards split into
-  /// `processes` contiguous groups; rank r of the ProcessGroup owns
-  /// group r. Construct the simulation FIRST (the shared arena must
-  /// predate the fork), then ProcessGroup::spawn(processes), then run.
-  std::uint32_t processes = 1;
-  /// Per-lane ring capacity in 64-byte slots (shm transport; power of
-  /// two). 0 = sized from the entity count, overridable via
-  /// CRA_SHARD_RING_SLOTS.
-  std::uint32_t ring_slots = 0;
-  /// Pin workers to CPUs, NUMA-aware when sysfs exposes node topology
-  /// (see sim/affinity.hpp). Placement-neutral: affects wall clock only.
-  bool pin = false;
 
   std::uint32_t effective_shards() const noexcept {
     return shards != 0 ? shards : threads;
   }
   bool sharded() const noexcept { return effective_shards() > 1; }
-  /// Resolve kAuto against the environment. Stable for a given
-  /// (config, environment) pair.
-  ShardTransport resolved_transport() const noexcept;
+};
+
+/// A protocol message in flight between shards: deliver `payload` to
+/// `entity` at absolute time `at`. src/kind are opaque to the engine
+/// (the protocol layers put the network source node and message
+/// discriminator there).
+struct ShardMessage {
+  SimTime at{};
+  std::uint32_t entity = 0;
+  std::uint32_t src = 0;
+  std::uint32_t kind = 0;
+  Bytes payload;
 };
 
 class ParallelScheduler {
  public:
   using Callback = Scheduler::Callback;
-  /// Protocol delivery sinks for serialized cross-shard messages (see
-  /// post_message). The owning sink receives messages whose payload
-  /// buffer traveled intact (same-shard and inproc paths, zero-copy);
-  /// the view sink receives borrowed payloads (shm path) and must copy
-  /// what it keeps. Both run on the destination shard's worker at the
-  /// event's time; a protocol must install behavior-identical sinks or
-  /// transports would diverge.
+  /// Protocol delivery sink for messages posted with post_message(). It
+  /// runs on the destination shard's worker at the message's time and
+  /// receives the payload buffer intact (it moved, never copied).
   using MessageSink = std::function<void(ShardMessage&&)>;
-  using MessageViewSink = std::function<void(const ShardMessageView&)>;
 
   /// Partitions entities 0..entities-1 into contiguous blocks, one per
   /// shard. `lookahead` is the minimum cross-shard event latency and
@@ -139,10 +103,6 @@ class ParallelScheduler {
   std::uint32_t shard_count() const noexcept { return shard_count_; }
   std::uint32_t threads() const noexcept { return threads_; }
   Duration lookahead() const noexcept { return lookahead_; }
-  /// Resolved transport actually in use ("inproc" for 1 shard).
-  ShardTransport transport() const noexcept { return transport_; }
-  const char* transport_name() const noexcept;
-  std::uint32_t processes() const noexcept { return processes_; }
 
   std::uint32_t shard_of(std::uint32_t entity) const noexcept {
     const std::uint32_t s = entity / block_;
@@ -152,15 +112,10 @@ class ParallelScheduler {
   Scheduler& shard_for(std::uint32_t entity) noexcept {
     return shard(shard_of(entity));
   }
-  /// Contiguous shard range owned by process `rank` (all shards when
-  /// single-process).
-  std::pair<std::uint32_t, std::uint32_t> owned_shards(
-      std::uint32_t rank) const noexcept;
 
   /// Global clock: the maximum of the shard clocks. run()/run_until()
-  /// synchronize every shard to this value on completion — across
-  /// processes too (a shared-memory max-reduction) — so between runs
-  /// all shards in all ranks agree on the time.
+  /// synchronize every shard to this value on completion, so between
+  /// runs all shards agree on the time.
   SimTime now() const noexcept;
 
   /// Schedule `cb` at absolute time `at` on `entity`'s shard.
@@ -172,27 +127,21 @@ class ParallelScheduler {
   /// construction for any message of latency >= lookahead — and (b)
   /// from any thread while the engine is idle (setup between runs).
   /// A foreign thread posting into a RUNNING engine throws
-  /// std::logic_error instead of racing a live shard queue. Under the
-  /// shm transport, cross-shard closures also throw (closures don't
-  /// serialize): protocol traffic uses post_message.
+  /// std::logic_error instead of racing a live shard queue.
   void post(std::uint32_t entity, SimTime at, Callback cb);
 
-  /// Schedule delivery of a serialized message to `entity`'s shard at
-  /// `at` — the transport-portable sibling of post(), used by the
-  /// protocol network routers. Requires sinks (set_message_sinks).
-  /// Returns the spent payload buffer when the transport serialized it
-  /// out (caller recycles the capacity into its shard-local pool);
-  /// returns an empty buffer when the payload moved onward intact.
-  Bytes post_message(std::uint32_t entity, SimTime at, std::uint32_t src,
-                     std::uint32_t kind, Bytes&& payload);
+  /// Schedule delivery of a protocol message to `entity`'s shard at
+  /// `at`, through the sink installed with set_message_sink(). Same
+  /// contract as post(); the protocol network routers use it so every
+  /// delivery, same-shard or not, runs through one sink.
+  void post_message(std::uint32_t entity, SimTime at, std::uint32_t src,
+                    std::uint32_t kind, Bytes&& payload);
 
-  /// Install the delivery sinks post_message dispatches to. Call at
+  /// Install the delivery sink post_message dispatches to. Call at
   /// setup, before any run with message traffic.
-  void set_message_sinks(MessageSink deliver, MessageViewSink deliver_view);
+  void set_message_sink(MessageSink deliver);
 
-  /// Run all shards to global quiescence; returns events dispatched
-  /// (across ALL processes in multi-process mode — every rank returns
-  /// the same total).
+  /// Run all shards to global quiescence; returns events dispatched.
   std::size_t run();
 
   /// Run events with time <= `until`; every shard clock advances to
@@ -202,17 +151,17 @@ class ParallelScheduler {
   /// giving up parallelism.
   std::size_t run_until(SimTime until);
 
-  /// Total events dispatched over the engine's lifetime (global across
-  /// processes in multi-process mode).
+  /// Total events dispatched over the engine's lifetime.
   std::uint64_t dispatched() const noexcept;
   /// Barrier windows executed (observability: epochs × 2 barrier waits).
   std::uint64_t epochs() const noexcept { return epochs_; }
-  /// Events that crossed a shard boundary through the channel (global
-  /// across processes in multi-process mode).
+  /// Events that crossed a shard boundary through the channel.
   std::uint64_t cross_shard_posts() const noexcept;
-  /// Lane-capacity growth events in the channel (0 for shm rings, and 0
-  /// steady-state for warm inproc lanes — the recycling guarantee).
-  std::uint64_t lane_reallocs() const noexcept;
+  /// Lane-capacity growth events in the channel (0 steady-state for
+  /// warm lanes — the recycling guarantee).
+  std::uint64_t lane_reallocs() const noexcept {
+    return channel_.lane_reallocs();
+  }
 
   /// Write the engine's own counters (pdes.events_dispatched,
   /// pdes.cross_posts, pdes.lane_reallocs, pdes.epochs) into `reg`.
@@ -238,10 +187,7 @@ class ParallelScheduler {
     return shards_[s]->metrics;
   }
   /// Fold every shard registry into `out` in shard order (deterministic;
-  /// see shard_metrics). Call only while the engine is idle. In
-  /// multi-process mode, non-owned shards merge from the binary images
-  /// their owners published to shared memory at the end of the last run
-  /// — every rank reduces the same global view.
+  /// see shard_metrics). Call only while the engine is idle.
   void merge_metrics_into(obs::MetricsRegistry& out) const;
   /// Zero every shard registry's instruments (round boundary).
   void reset_shard_metrics() noexcept;
@@ -255,56 +201,19 @@ class ParallelScheduler {
     std::size_t dispatched_run = 0;  // events run in the current run()
     std::uint64_t cross_posts = 0;   // channel posts originated here
     obs::MetricsRegistry metrics;    // written only by the owning worker
-    std::vector<Bytes> spare;        // recycled shm-delivery buffers
   };
 
-  /// Per-shard shared-memory cell (shm transport): the owner publishes
-  /// its earliest-event time each phase A and its clock/counters/metrics
-  /// image at end of run; peers reduce over all cells.
-  struct alignas(64) ShardCell {
-    std::atomic<std::int64_t> next_ns;
-    std::atomic<std::int64_t> clock_ns;
-    std::atomic<std::uint64_t> dispatched_run;
-    std::atomic<std::uint64_t> dispatched_total;
-    std::atomic<std::uint64_t> cross_posts;
-    std::atomic<std::uint32_t> metrics_len;
-  };
-
-  bool owns_shard(std::uint32_t s) const noexcept;
-  void deliver_view_into(std::uint32_t s, const ShardMessageView& v);
-  /// Move every channel lane targeting shard `s` into its scheduler, in
-  /// fixed source-shard order (this is what keeps drains deterministic).
-  void drain_into(std::uint32_t s);
   void sync_clocks();
-  void publish_shard_outputs(std::uint32_t s);
   std::size_t run_serial_epochs(std::optional<SimTime> until);
   std::size_t run_threaded(std::optional<SimTime> until);
-  std::size_t run_shm(std::optional<SimTime> until);
-  void maybe_pin(std::uint32_t worker, std::uint32_t workers) const;
 
   std::uint32_t shard_count_;
   std::uint32_t threads_;
   std::uint32_t block_;
   Duration lookahead_;
-  ShardTransport transport_ = ShardTransport::kInproc;
-  std::uint32_t processes_ = 1;
-  std::uint32_t ring_slots_ = 0;
-  bool pin_ = false;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<ChannelTransport> channel_;
+  ShardChannel channel_;
   MessageSink sink_;
-  MessageViewSink view_sink_;
-
-  // Shared-memory control plane (shm transport only). The arena is
-  // created at construction — i.e. before any ProcessGroup::spawn() —
-  // so all ranks map it at the same address.
-  std::unique_ptr<SharedArena> arena_;
-  ShmBarrierCell* barrier_ = nullptr;
-  ShmHorizonCell* control_ = nullptr;
-  std::atomic<std::uint32_t>* shm_abort_ = nullptr;
-  ShardCell* cells_ = nullptr;
-  std::uint8_t* metrics_blobs_ = nullptr;
-  std::uint32_t metrics_blob_cap_ = 0;
 
   // Epoch state: written only while every worker is parked at a barrier
   // (completion step) or by the single thread of the serial path; the

@@ -89,10 +89,4 @@ void Scheduler::purge_cancelled() {
 
 bool Scheduler::step() { return dispatch_next(); }
 
-void Scheduler::clear_pending() noexcept {
-  queue_ = decltype(queue_){};
-  live_.clear();
-  cancelled_.clear();
-}
-
 }  // namespace cra::sim

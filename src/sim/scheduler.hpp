@@ -80,14 +80,6 @@ class Scheduler {
   /// Dispatch exactly one event if available; returns false on empty.
   bool step();
 
-  /// Drop every pending event (queue and the live/cancelled id sets);
-  /// now() and dispatched() are untouched, and cancel() on a handle of a
-  /// dropped event safely returns false. The multi-process engine uses
-  /// this to discard a non-owned shard's local copy of the SPMD setup
-  /// events — the shard's owning process runs the authoritative copy
-  /// (see sim/parallel.cpp).
-  void clear_pending() noexcept;
-
   /// Number of events that would still dispatch (live minus pending
   /// cancellations). Counted from the live-id set, not the raw queue, so
   /// the result can never underflow even if a cancelled event has been

@@ -353,7 +353,7 @@ void VerifierDaemon::start_round() {
   }
   round_open_ = true;
   ++tick_;
-  round_start_ns_ = loop_.now_ns();
+  round_start_ns_ = monotonic_ns();
   received_ = 0;
   std::fill(have_.begin(), have_.end(), 0);
   reports_.clear();
@@ -373,7 +373,7 @@ void VerifierDaemon::resume_round() {
   // Called once from run() when recovery left a round open: keep the
   // journaled tick/coverage/attempt and rejoin the re-poll ladder where
   // the crashed process left it, re-challenging only the missing set.
-  round_start_ns_ = loop_.now_ns();
+  round_start_ns_ = monotonic_ns();
   metrics_.counter("wire.daemon.rounds_resumed").inc();
   if (received_ >= config_.devices) {
     finish_round();
@@ -391,9 +391,6 @@ void VerifierDaemon::finish_round() {
     repoll_timer_ = 0;
   }
 
-  const std::uint64_t latency_ns = loop_.now_ns() - round_start_ns_;
-  metrics_.histogram("wire.daemon.round_latency_us")
-      .record(latency_ns / 1'000);
   metrics_.counter("wire.daemon.rounds_completed").inc();
   metrics_.counter("wire.daemon.tokens_received").inc(received_);
   metrics_.counter("wire.daemon.tokens_missing")
@@ -427,6 +424,10 @@ void VerifierDaemon::finish_round() {
                                        : "wire.daemon.rounds_failed")
         .inc();
   }
+  // Round open to verdict, on the same clock as round_start_ns_ and read
+  // fresh: the loop's cached now_ns() predates the verification above.
+  metrics_.histogram("wire.daemon.round_latency_us")
+      .record((monotonic_ns() - round_start_ns_) / 1'000);
 
   ++rounds_done_;
   if (journaling_) {

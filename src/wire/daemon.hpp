@@ -136,7 +136,7 @@ class VerifierDaemon {
   // Round state.
   bool round_open_ = false;
   std::uint32_t tick_ = 0;
-  std::uint64_t round_start_ns_ = 0;
+  std::uint64_t round_start_ns_ = 0;  // monotonic_ns() at round open
   std::uint32_t received_ = 0;
   std::vector<std::uint8_t> have_;             // index id-1
   std::vector<sap::DeviceReport> reports_;

@@ -86,10 +86,6 @@ TEST(ParallelScheduler, CrossShardCausalityChain) {
   SimConfig cfg;
   cfg.threads = 2;
   cfg.shards = 2;
-  // This test bounces raw closures across shards, which only the
-  // in-process transport can carry — pin it so the CI shm matrix
-  // (CRA_SHARD_TRANSPORT=shm) doesn't redirect the boundary.
-  cfg.transport = ShardTransport::kInproc;
   const Duration hop = Duration::from_ms(1);
   ParallelScheduler engine(2, cfg, hop);
 
@@ -138,7 +134,6 @@ std::vector<std::string> run_cascade(std::uint32_t threads) {
   SimConfig cfg;
   cfg.threads = threads;
   cfg.shards = 4;  // fixed: results must not depend on `threads`
-  cfg.transport = ShardTransport::kInproc;  // raw closures cross shards
   const std::uint32_t kEntities = 64;
   const Duration hop = Duration::from_ms(1);
   ParallelScheduler engine(kEntities, cfg, hop);
